@@ -9,10 +9,14 @@ package owl_test
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"owl/internal/core"
 	"owl/internal/cuda"
 	"owl/internal/gpu"
+	"owl/internal/trace"
 	"owl/internal/workloads/gpucrypto"
 	"owl/internal/workloads/jpeg"
 )
@@ -77,5 +81,46 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 				t.Errorf("allocs/exec = %v, want %v (cost-off fast path regressed)", got, tc.allocs)
 			}
 		})
+	}
+}
+
+// TestTracedRecordAllocs pins the allocations of one traced aes128
+// recording, released afterwards as the evidence pipeline does — the unit
+// of work a detection repeats hundreds of times per class. The columnar
+// A-DCFG folds each warp's buffered events straight into the invocation
+// graph, compacts every histogram once, and recycles the graph, so the
+// count is machine-independent: a per-warp graph, a per-event map, a
+// histogram re-sorted per warp, or a lost recycling path shows up here as
+// a jump.
+func TestTracedRecordAllocs(t *testing.T) {
+	det, err := core.NewDetector(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
+	key := []byte("0123456789abcdef")
+	record := func() {
+		tr, err := det.RecordOnce(p, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace.Release(tr) // as the evidence pipeline does after a merge
+	}
+	// A collection empties sync.Pools, and a pooled object put on one P is
+	// invisible to another P's Get, so GC timing and scheduling would move
+	// the count; with GC off and one P it is exact.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 5; i++ { // warm pools and caches
+		record()
+	}
+	// A stray pooled object left by earlier work can only save an
+	// allocation, so the steady state is the largest of a few samples.
+	var got float64
+	for i := 0; i < 3; i++ {
+		got = max(got, testing.AllocsPerRun(50, record))
+	}
+	if want := 29.0; got != want {
+		t.Errorf("allocs/record = %v, want %v (traced recording path changed)", got, want)
 	}
 }

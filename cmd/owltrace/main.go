@@ -16,9 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
+	"owl/internal/adcfg"
 	"owl/internal/core"
 	"owl/internal/experiments"
 	"owl/internal/myers"
@@ -211,7 +213,7 @@ func graphDiff(a, b *trace.Invocation) string {
 				if ha == nil || hb == nil {
 					continue
 				}
-				if !sameHist(ha.Addrs, hb.Addrs) {
+				if !sameHist(ha, hb) {
 					return fmt.Sprintf("block %d visit %d mem %d address histograms differ", id, j, mi)
 				}
 			}
@@ -220,16 +222,8 @@ func graphDiff(a, b *trace.Invocation) string {
 	return "transition counts differ"
 }
 
-func sameHist(a, b map[uint64]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+func sameHist(a, b *adcfg.MemHist) bool {
+	return slices.Equal(a.Addrs, b.Addrs) && slices.Equal(a.Counts, b.Counts)
 }
 
 // cmdValidate checks a Chrome trace-event timeline's invariants — the

@@ -8,10 +8,12 @@ package owl_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"owl"
+	"owl/internal/adcfg"
 )
 
 // recordedTrace records one real trace through the public API.
@@ -74,6 +76,53 @@ func TestDecodeTraceJSONStructurallyInvalid(t *testing.T) {
 	}
 }
 
+// histCorruptions break the sorted-run invariant of an address histogram
+// in each way trace validation must catch.
+var histCorruptions = map[string]func(*adcfg.MemHist){
+	"unsorted": func(h *adcfg.MemHist) {
+		h.Addrs, h.Counts = []uint64{h.Addrs[0] + 1, h.Addrs[0]}, []int64{1, 1}
+	},
+	"duplicate":  func(h *adcfg.MemHist) { h.Addrs, h.Counts = []uint64{h.Addrs[0], h.Addrs[0]}, []int64{1, 1} },
+	"zero count": func(h *adcfg.MemHist) { h.Counts[0] = 0 },
+	"lengths":    func(h *adcfg.MemHist) { h.Counts = append(h.Counts, 1) },
+}
+
+// firstHist returns a non-empty address histogram of t — the first in
+// invocation, block, visit and instruction order — or nil.
+func firstHist(t *owl.ProgramTrace) *adcfg.MemHist {
+	for _, inv := range t.Invocations {
+		blocks := make([]int, 0, len(inv.Graph.Nodes))
+		for b := range inv.Graph.Nodes {
+			blocks = append(blocks, b)
+		}
+		slices.Sort(blocks)
+		for _, b := range blocks {
+			for _, v := range inv.Graph.Nodes[b].Visits {
+				for _, h := range v.Mems {
+					if h != nil && h.Len() > 0 {
+						return h
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// cloneTrace deep-copies t through the gob codec.
+func cloneTrace(tb testing.TB, t *owl.ProgramTrace) *owl.ProgramTrace {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := owl.EncodeTrace(&buf, t); err != nil {
+		tb.Fatal(err)
+	}
+	c, err := owl.DecodeTrace(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // FuzzDecodeTrace: whatever bytes arrive, DecodeTrace either errors or
 // returns a trace that survives Hash and a re-encode round-trip.
 func FuzzDecodeTrace(f *testing.F) {
@@ -103,6 +152,23 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
 	f.Add([]byte("junk"))
 	f.Add([]byte{})
+	// Histograms off the canonical sorted-run form must be rejected.
+	for _, corrupt := range histCorruptions {
+		bad := cloneTrace(f, tr)
+		h := firstHist(bad)
+		if h == nil {
+			f.Fatal("recorded trace has no address histogram")
+		}
+		corrupt(h)
+		var buf bytes.Buffer
+		if err := owl.EncodeTrace(&buf, bad); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := owl.DecodeTrace(bytes.NewReader(buf.Bytes())); err == nil {
+			f.Fatal("non-canonical histogram seed decoded")
+		}
+		f.Add(buf.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := owl.DecodeTrace(bytes.NewReader(data))
@@ -130,6 +196,17 @@ func FuzzDecodeTraceJSON(f *testing.F) {
 	f.Add([]byte(`{"Program":"p","Invocations":[null]}`))
 	f.Add([]byte(`{"Program":"p","Invocations":[{"Kernel":"k"}]}`))
 	f.Add([]byte("junk"))
+	for _, addrs := range []string{
+		`"addrs":[1,5],"counts":[2,1]`, // canonical
+		`"addrs":{"5":1,"1":2}`,        // legacy object form
+		`"addrs":[5,1],"counts":[1,2]`, // unsorted
+		`"addrs":[5,5],"counts":[1,2]`, // duplicate
+		`"addrs":[1,5],"counts":[2,0]`, // zero count
+		`"addrs":[1,5],"counts":[2]`,   // mismatched lengths
+	} {
+		f.Add([]byte(`{"Program":"p","Invocations":[{"Kernel":"k","Graph":{"kernel":"k","warps":1,` +
+			`"nodes":[{"block":0,"visits":[{"count":1,"mems":[{"space":1,` + addrs + `}]}]}],"edges":[]}}]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := owl.DecodeTraceJSON(bytes.NewReader(data))
 		if err != nil {

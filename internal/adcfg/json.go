@@ -1,8 +1,10 @@
 package adcfg
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"owl/internal/isa"
@@ -31,9 +33,46 @@ type visitJSON struct {
 }
 
 type memJSON struct {
-	Space isa.Space        `json:"space"`
-	Store bool             `json:"store,omitempty"`
-	Addrs map[uint64]int64 `json:"addrs"`
+	Space  isa.Space `json:"space"`
+	Store  bool      `json:"store,omitempty"`
+	Addrs  addrsJSON `json:"addrs"`
+	Counts []int64   `json:"counts"`
+}
+
+// addrsJSON is a histogram's "addrs" field. It is written as the ascending
+// address column; decoding also accepts the {"<addr>": count} object of
+// older trace files, keeping its counts in legacy.
+type addrsJSON struct {
+	addrs  []uint64
+	legacy map[uint64]int64
+}
+
+func (a addrsJSON) MarshalJSON() ([]byte, error) { return json.Marshal(a.addrs) }
+
+func (a *addrsJSON) UnmarshalJSON(data []byte) error {
+	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '{' {
+		return json.Unmarshal(data, &a.legacy)
+	}
+	return json.Unmarshal(data, &a.addrs)
+}
+
+// hist converts the decoded form to a MemHist. The legacy object form is
+// normalized into sorted columns; the columnar form is taken as is and
+// left to trace.Validate.
+func (m *memJSON) hist() *MemHist {
+	h := &MemHist{Space: m.Space, Store: m.Store, Addrs: m.Addrs.addrs, Counts: m.Counts}
+	if m.Addrs.legacy != nil {
+		h.Addrs = make([]uint64, 0, len(m.Addrs.legacy))
+		for a := range m.Addrs.legacy {
+			h.Addrs = append(h.Addrs, a)
+		}
+		slices.Sort(h.Addrs)
+		h.Counts = make([]int64, len(h.Addrs))
+		for i, a := range h.Addrs {
+			h.Counts[i] = m.Addrs.legacy[a]
+		}
+	}
+	return h
 }
 
 type pairJSON struct {
@@ -68,7 +107,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 					vj.Mems = append(vj.Mems, nil)
 					continue
 				}
-				vj.Mems = append(vj.Mems, &memJSON{Space: h.Space, Store: h.Store, Addrs: h.Addrs})
+				vj.Mems = append(vj.Mems, &memJSON{Space: h.Space, Store: h.Store, Addrs: addrsJSON{addrs: h.Addrs}, Counts: h.Counts})
 			}
 			nj.Visits = append(nj.Visits, vj)
 		}
@@ -130,11 +169,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 					v.Mems = append(v.Mems, nil)
 					continue
 				}
-				h := newMemHist(mj.Space, mj.Store)
-				for a, c := range mj.Addrs {
-					h.Addrs[a] = c
-				}
-				v.Mems = append(v.Mems, h)
+				v.Mems = append(v.Mems, mj.hist())
 			}
 			n.Visits = append(n.Visits, v)
 		}

@@ -2,13 +2,14 @@ package adcfg
 
 import "sync"
 
-// Buffer pools for the A-DCFG building blocks. Trace recording allocates
-// one graph per warp and per kernel invocation, and the streaming evidence
-// pipeline releases each trace as soon as it merges — recycling the
-// graphs (and their node/visit/histogram maps) through these pools keeps
-// the evidence-phase heap at O(workers) instead of O(runs). The pools are
-// shared by internal/tracer (warp-local graphs) and internal/trace
-// (whole-trace release after an evidence merge).
+// Buffer pools for the A-DCFG building blocks. Every traced run builds
+// one graph per kernel invocation, and the streaming evidence pipeline
+// drops each trace as soon as it merges. Recycling the graphs — nodes,
+// visits, histograms with their column capacity, edges, and their maps —
+// through these pools keeps the allocation rate of recording close to
+// zero in the steady state. Without them a detection allocates twice the
+// bytes per run, and the live heap a concurrent collection reports grows
+// with that rate.
 var (
 	graphPool = sync.Pool{New: func() any {
 		return &Graph{Nodes: make(map[int]*Node), Edges: make(map[EdgeKey]*Edge)}
@@ -20,14 +21,18 @@ var (
 	edgePool  = sync.Pool{New: func() any {
 		return &Edge{Prev: make(map[EdgeKey]int64)}
 	}}
-	histPool = sync.Pool{New: func() any {
-		return &MemHist{Addrs: make(map[uint64]int64)}
-	}}
+	histPool = sync.Pool{New: func() any { return &MemHist{} }}
 )
 
+func newNode(block int) *Node {
+	n := nodePool.Get().(*Node)
+	n.Block = block
+	return n
+}
+
 // Recycle returns g and every node, visit, histogram, and edge it owns to
-// the shared pools. The caller must hold the only live reference: g and
-// its sub-objects must not be used afterwards. Recycle(nil) is a no-op.
+// the pools. The caller must hold the only live reference: g and its
+// sub-objects must not be used afterwards. Recycle(nil) is a no-op.
 func Recycle(g *Graph) {
 	if g == nil {
 		return
@@ -37,10 +42,12 @@ func Recycle(g *Graph) {
 			for _, h := range v.Mems {
 				recycleHist(h)
 			}
+			clear(v.Mems)
 			v.Mems = v.Mems[:0]
 			v.Count = 0
 			visitPool.Put(v)
 		}
+		clear(n.Visits)
 		n.Visits = n.Visits[:0]
 		if n.Pairs == nil {
 			n.Pairs = make(map[PairKey]int64)
@@ -74,16 +81,12 @@ func Recycle(g *Graph) {
 	graphPool.Put(g)
 }
 
+// recycleHist pools h. Its address column becomes the next recording's
+// lane-address buffer and its count column is refilled by compact.
 func recycleHist(h *MemHist) {
 	if h == nil {
 		return
 	}
-	if h.Addrs == nil {
-		h.Addrs = make(map[uint64]int64)
-	} else {
-		clear(h.Addrs)
-	}
-	h.Space = 0
-	h.Store = false
+	*h = MemHist{Counts: h.Counts[:0], raw: h.Addrs[:0]}
 	histPool.Put(h)
 }

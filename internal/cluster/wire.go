@@ -30,7 +30,11 @@ import (
 // cost-observable collection, which changes the recorded traces (cost
 // sites join the canonical encoding), so a v2 worker must not serve a v3
 // coordinator.
-const ProtocolVersion = 3
+//
+// v4 made A-DCFG address histograms columnar: adcfg.MemHist carries
+// sorted Addrs and Counts slices instead of an address → count map, which
+// changes the gob shape of every shipped trace.
+const ProtocolVersion = 4
 
 // protocolHeader is the HTTP header a worker stamps on record-stream
 // responses so the coordinator can verify the version before decoding.

@@ -213,3 +213,41 @@ func TestScreenedCollapsesVisits(t *testing.T) {
 		t.Errorf("ScreenedCount = %d", rep.ScreenedCount(DataFlowLeak))
 	}
 }
+
+// TestAddLeakKeepsLowestPInPlace: a duplicate location with a lower p
+// replaces the earlier entry at its original position, a higher p is
+// dropped, and cost sites are told apart by metric and instruction.
+func TestAddLeakKeepsLowestPInPlace(t *testing.T) {
+	rep := &Report{}
+	df := Leak{Kind: DataFlowLeak, StackID: "s", Block: 1, Visit: 2, MemIndex: 3, P: 0.05, Detail: "first"}
+	cf := Leak{Kind: ControlFlowLeak, StackID: "s", Block: 4, P: 0.02}
+	bank := Leak{Kind: CostLeak, StackID: "s", Block: 1, Instr: 7, Metric: "bank", P: 0.03}
+	rep.addLeak(df)
+	rep.addLeak(cf)
+	rep.addLeak(bank)
+	rep.addLeak(Leak{Kind: CostLeak, StackID: "s", Block: 1, Instr: 7, Metric: "power", P: 0.04})
+	rep.addLeak(Leak{Kind: CostLeak, StackID: "s", Block: 1, Instr: 8, Metric: "bank", P: 0.04})
+
+	better := df
+	better.P, better.Detail = 0.001, "better"
+	rep.addLeak(better)
+	worse := cf
+	worse.P = 0.5
+	rep.addLeak(worse)
+
+	if len(rep.Leaks) != 5 {
+		t.Fatalf("leaks = %d, want 5", len(rep.Leaks))
+	}
+	if got := rep.Leaks[0]; got.P != 0.001 || got.Detail != "better" {
+		t.Errorf("lower-p duplicate did not replace the first entry in place: %+v", got)
+	}
+	if got := rep.Leaks[1]; got.P != 0.02 {
+		t.Errorf("higher-p duplicate replaced the entry: p=%v", got.P)
+	}
+	if got := rep.Leaks[2]; got.Metric != "bank" || got.Instr != 7 {
+		t.Errorf("insertion order changed: %+v", got)
+	}
+	if rep.findLeak(bank.key()) != &rep.Leaks[2] {
+		t.Error("findLeak does not resolve to the stored entry")
+	}
+}

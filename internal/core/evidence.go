@@ -8,7 +8,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"owl/internal/adcfg"
@@ -180,26 +179,19 @@ func (e *Evidence) mergeRunInvocation(inv *InvEvidence, ti *trace.Invocation, ru
 }
 
 // histSummary returns the count-weighted mean offset and the max-min
-// offset range of one histogram.
+// offset range of one histogram, whose sorted addresses put the range at
+// the ends.
 func histSummary(h *adcfg.MemHist) (mean, spread float64) {
 	var sum, total float64
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for a, c := range h.Addrs {
-		v := float64(a)
-		w := float64(c)
-		sum += v * w
+	for i, a := range h.Addrs {
+		w := float64(h.Counts[i])
+		sum += float64(a) * w
 		total += w
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
 	}
 	if total == 0 {
 		return 0, 0
 	}
-	return sum / total, hi - lo
+	return sum / total, float64(h.Addrs[len(h.Addrs)-1]) - float64(h.Addrs[0])
 }
 
 // SizeBytes returns the canonical size of the merged graphs, the

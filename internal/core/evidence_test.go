@@ -101,7 +101,7 @@ func TestEvidenceMemSamplesTrackRuns(t *testing.T) {
 }
 
 func TestHistSummary(t *testing.T) {
-	h := &adcfg.MemHist{Addrs: map[uint64]int64{10: 1, 20: 3}}
+	h := &adcfg.MemHist{Addrs: []uint64{10, 20}, Counts: []int64{1, 3}}
 	mean, spread := histSummary(h)
 	if mean != (10+60)/4.0 {
 		t.Errorf("mean = %v", mean)
@@ -109,7 +109,7 @@ func TestHistSummary(t *testing.T) {
 	if spread != 10 {
 		t.Errorf("spread = %v", spread)
 	}
-	if m, s := histSummary(&adcfg.MemHist{Addrs: map[uint64]int64{}}); m != 0 || s != 0 {
+	if m, s := histSummary(&adcfg.MemHist{}); m != 0 || s != 0 {
 		t.Errorf("empty summary = %v, %v", m, s)
 	}
 }

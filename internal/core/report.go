@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -83,11 +84,20 @@ func (l Leak) Location() string {
 	return l.StackID
 }
 
-func (l Leak) key() string {
-	k := fmt.Sprintf("%d|%s|%d|%d|%d", l.Kind, l.StackID, l.Block, l.Visit, l.MemIndex)
+// leakKey is a leak's location identity: a report holds at most one leak
+// per key.
+type leakKey struct {
+	kind              LeakKind
+	stack             string
+	block, visit, mem int
+	metric            string // cost sites: metric and instruction
+	instr             int
+}
+
+func (l Leak) key() leakKey {
+	k := leakKey{kind: l.Kind, stack: l.StackID, block: l.Block, visit: l.Visit, mem: l.MemIndex}
 	if l.Kind == CostLeak {
-		// Cost sites are keyed by metric and instruction, not memory index.
-		k = fmt.Sprintf("%s|%s|%d", k, l.Metric, l.Instr)
+		k.metric, k.instr = l.Metric, l.Instr
 	}
 	return k
 }
@@ -129,6 +139,10 @@ type Report struct {
 	RunsBudget   int  `json:",omitempty"`
 	RunsUsed     int  `json:",omitempty"`
 	EarlyStopped bool `json:",omitempty"`
+
+	// leakIdx maps each leak's key to its index in Leaks while detection
+	// adds leaks (see index).
+	leakIdx map[leakKey]int
 }
 
 // RunsSaved returns the analysis runs the sequential-testing controller
@@ -140,12 +154,30 @@ func (r *Report) RunsSaved() int {
 	return r.RunsBudget - r.RunsUsed
 }
 
-// findLeak returns the recorded leak with the given location key, or nil.
-func (r *Report) findLeak(key string) *Leak {
-	for i := range r.Leaks {
-		if r.Leaks[i].key() == key {
-			return &r.Leaks[i]
+// index returns the key → position map of Leaks, building it on first
+// use. addLeak keeps it current; finish drops it.
+func (r *Report) index() map[leakKey]int {
+	if r.leakIdx == nil {
+		r.leakIdx = make(map[leakKey]int, len(r.Leaks))
+		for i, l := range r.Leaks {
+			r.leakIdx[l.key()] = i
 		}
+	}
+	return r.leakIdx
+}
+
+// finish releases what only leak insertion needs: the index, and the
+// spare capacity of Leaks. Services keep finished reports, so their size
+// is paid once per retained job.
+func (r *Report) finish() {
+	r.leakIdx = nil
+	r.Leaks = slices.Clone(r.Leaks)
+}
+
+// findLeak returns the recorded leak with the given location key, or nil.
+func (r *Report) findLeak(key leakKey) *Leak {
+	if i, ok := r.index()[key]; ok {
+		return &r.Leaks[i]
 	}
 	return nil
 }
@@ -218,13 +250,11 @@ func (r *Report) Summary() string {
 // applies before Table III ("some leaks at different basic blocks point to
 // the same code location", §VIII-B).
 func (r *Report) Screened() []Leak {
-	byLoc := make(map[string]Leak)
-	var order []string
+	byLoc := make(map[leakKey]Leak)
+	var order []leakKey
 	for _, l := range r.Leaks {
-		k := fmt.Sprintf("%d|%s|%d|%d", l.Kind, l.StackID, l.Block, l.MemIndex)
-		if l.Kind == CostLeak {
-			k = fmt.Sprintf("%s|%s|%d", k, l.Metric, l.Instr)
-		}
+		k := l.key()
+		k.visit = 0 // every visit of an instruction is one location
 		if prev, ok := byLoc[k]; !ok {
 			byLoc[k] = l
 			order = append(order, k)
@@ -318,13 +348,13 @@ func (r *Report) Sites() []LeakSite {
 // addLeak inserts l unless an equivalent location is already recorded, in
 // which case the smaller p wins.
 func (r *Report) addLeak(l Leak) {
-	for i := range r.Leaks {
-		if r.Leaks[i].key() == l.key() {
-			if l.P < r.Leaks[i].P {
-				r.Leaks[i] = l
-			}
-			return
+	k := l.key()
+	if prev := r.findLeak(k); prev != nil {
+		if l.P < prev.P {
+			*prev = l
 		}
+		return
 	}
+	r.index()[k] = len(r.Leaks)
 	r.Leaks = append(r.Leaks, l)
 }

@@ -196,7 +196,7 @@ func (d *Detector) applyVerdicts(verdicts []evidence.Verdict, runsUsed int, repo
 			// Annotate whichever channel found it first; keep the stronger
 			// |t| when both channels' verdicts collapse to one location.
 			if existing.Confidence < v.Confidence || existing.TStat == 0 {
-				existing.TStat = v.TStat
+				existing.TStat = l.TStat
 				existing.Confidence = v.Confidence
 				existing.RunsUsed = runsUsed
 			}
@@ -226,7 +226,7 @@ func (d *Detector) leakFromVerdict(v evidence.Verdict, runsUsed int) Leak {
 	l := Leak{
 		StackID:    v.Stack,
 		Kernel:     v.Kernel,
-		TStat:      v.TStat,
+		TStat:      evidence.ReportedT(v.TStat),
 		MI:         v.MI,
 		Confidence: v.Confidence,
 		RunsUsed:   runsUsed,

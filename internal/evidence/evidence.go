@@ -23,6 +23,7 @@ package evidence
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"owl/internal/adcfg"
@@ -238,8 +239,7 @@ type Engine struct {
 	idx  map[invID]int
 
 	// scratch reused across Observe calls
-	occ   map[string]int
-	addrs []uint64
+	occ map[string]int
 }
 
 // NewEngine builds an engine with cfg (zero values select defaults).
@@ -334,20 +334,15 @@ func (e *Engine) observeInvocation(a *invAcc, r Regime, runIdx int, ti *trace.In
 	}
 }
 
-// observeHist folds one address histogram into the MI estimator in sorted
-// address order (map iteration is randomized; sorting keeps the rebin
+// observeHist folds one address histogram into the MI estimator in
+// address order (the histogram's canonical order, which keeps the rebin
 // trigger — and therefore the estimate — deterministic) and returns the
 // run-level count-weighted mean offset and max-min spread, the same
 // per-run summary the diff channel extracts.
 func (e *Engine) observeHist(m *memAcc, r Regime, h *adcfg.MemHist) (mean, spread float64) {
-	e.addrs = e.addrs[:0]
-	for a := range h.Addrs {
-		e.addrs = append(e.addrs, a)
-	}
-	sort.Slice(e.addrs, func(i, j int) bool { return e.addrs[i] < e.addrs[j] })
 	var sum, total float64
-	for _, a := range e.addrs {
-		v, w := float64(a), float64(h.Addrs[a])
+	for i, a := range h.Addrs {
+		v, w := float64(a), float64(h.Counts[i])
 		m.mi.Observe(int(r), v, w)
 		sum += v * w
 		total += w
@@ -355,7 +350,7 @@ func (e *Engine) observeHist(m *memAcc, r Regime, h *adcfg.MemHist) (mean, sprea
 	if total == 0 {
 		return 0, 0
 	}
-	return sum / total, float64(e.addrs[len(e.addrs)-1]) - float64(e.addrs[0])
+	return sum / total, float64(h.Addrs[len(h.Addrs)-1]) - float64(h.Addrs[0])
 }
 
 // bernoulli returns the analytic Welford accumulator of k ones among n
@@ -531,11 +526,24 @@ type Trajectory struct {
 	// LeakSites counts distinct screened code locations currently over
 	// the leak threshold (the signature's line count).
 	LeakSites int
-	// MaxAbsT is the strongest |t| across all evaluated sites.
+	// MaxAbsT is the strongest |t| across all evaluated sites, capped at
+	// MaxReportedT so it is always finite.
 	MaxAbsT float64
 	// Signature is the canonical leak-location string (LeakSignature).
 	Signature string
 }
+
+// MaxReportedT caps every |t| that leaves the engine (see ReportedT). A
+// site whose two regimes each have zero variance but different means has
+// |t| = +Inf; the trajectory's max |t| becomes an obs counter, a Perfetto
+// timeline sample and the service's max_abs_t JSON field, and a leak's t
+// joins the JSON report, none of which can carry an infinity. Such a site
+// is reported at this ceiling, far above any leak threshold. Verdicts are
+// decided on the exact statistic.
+const MaxReportedT = 1e6
+
+// ReportedT clamps t to [-MaxReportedT, MaxReportedT].
+func ReportedT(t float64) float64 { return max(-MaxReportedT, min(t, MaxReportedT)) }
 
 // Trajectory evaluates every site once and summarizes the result. Like
 // Verdicts it is ranked data, not state: sampling never perturbs the
@@ -546,13 +554,7 @@ func (e *Engine) Trajectory() Trajectory {
 	seen := make(map[string]bool)
 	for _, v := range e.Verdicts() {
 		tr.Sites++
-		t := v.TStat
-		if t < 0 {
-			t = -t
-		}
-		if t > tr.MaxAbsT {
-			tr.MaxAbsT = t
-		}
+		tr.MaxAbsT = max(tr.MaxAbsT, math.Abs(ReportedT(v.TStat)))
 		if !v.Leak {
 			continue
 		}

@@ -22,6 +22,7 @@ func mkInvocation(stackID string, blocks []int, addrs []int64) *trace.Invocation
 		}
 	}
 	f.Finish()
+	g.Normalize()
 	return &trace.Invocation{StackID: stackID, Kernel: "k", Graph: g}
 }
 

@@ -92,11 +92,11 @@ func TestJSDProperties(t *testing.T) {
 }
 
 func TestDistFromHist(t *testing.T) {
-	d := distFromHist(map[uint64]int64{10: 3, 20: 1})
+	d := distFromHist(&adcfg.MemHist{Addrs: []uint64{10, 20}, Counts: []int64{3, 1}})
 	if math.Abs(d[10]-0.75) > 1e-12 || math.Abs(d[20]-0.25) > 1e-12 {
 		t.Errorf("dist = %v", d)
 	}
-	if len(distFromHist(nil)) != 0 {
+	if len(distFromHist(&adcfg.MemHist{})) != 0 {
 		t.Error("empty histogram produced mass")
 	}
 }

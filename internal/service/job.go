@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -303,6 +304,9 @@ func (j *Job) setState(s State) (prev State, changed bool) {
 	})
 	if s.Terminal() {
 		j.finished = now
+		// The history is final and the manager retains the job: drop
+		// the slice's growth headroom.
+		j.events = slices.Clone(j.events)
 		close(j.done)
 	}
 	return prev, true

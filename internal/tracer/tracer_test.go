@@ -129,6 +129,37 @@ func TestParallelTracingDeterministic(t *testing.T) {
 	}
 }
 
+// TestParallelWideGridDeterministic retires many warps from concurrently
+// running blocks into the same histograms: the trace must not depend on
+// retire order.
+func TestParallelWideGridDeterministic(t *testing.T) {
+	b := kbuild.New("gather", 1)
+	idx := b.And(b.Mul(b.Tid(), b.ConstR(7)), b.ConstR(255))
+	b.Load(isa.SpaceGlobal, b.Add(b.Param(0), idx), 0)
+	b.Ret()
+	k := b.MustBuild()
+	record := func(parallel bool) [32]byte {
+		cfg := gpu.DefaultConfig()
+		cfg.Parallel = parallel
+		tr := New("gather")
+		ctx, err := cuda.NewContext(cfg, rand.New(rand.NewSource(1)), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, err := ctx.Malloc(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Launch(k, gpu.D1(64), gpu.D1(64), int64(table)); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Trace().Hash()
+	}
+	if record(false) != record(true) {
+		t.Error("parallel tracing of a wide grid produced a different trace")
+	}
+}
+
 func TestMultipleLaunchesSeparateGraphs(t *testing.T) {
 	tr := New("p")
 	ctx, err := cuda.NewContext(gpu.DefaultConfig(), rand.New(rand.NewSource(1)), tr)
