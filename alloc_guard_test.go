@@ -124,3 +124,60 @@ func TestTracedRecordAllocs(t *testing.T) {
 		t.Errorf("allocs/record = %v, want %v (traced recording path changed)", got, want)
 	}
 }
+
+// TestEvidenceAddRunAllocs pins the allocations of merging one
+// random-regime aes128 run into evidence that has already absorbed many:
+// the unit of work the random regime repeats. By then every narrow
+// address histogram counts into its merge window in place, so a merge
+// allocates only the run's sample vectors and the sequence alignment; a
+// window opened, widened or copied per merge, or a merge that leaves the
+// windows and re-sorts, shows up here as a jump. A second evidence fed
+// the same runs is flushed after every merge, which returns its windows
+// to the histogram pool and makes the next merge open them again: taken
+// from the pool, they cost nothing, so both counts are equal.
+func TestEvidenceAddRunAllocs(t *testing.T) {
+	det, err := core.NewDetector(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
+	rng := rand.New(rand.NewSource(1))
+	var runs []*trace.ProgramTrace
+	for i := 0; i < 8; i++ {
+		key := make([]byte, 16)
+		rng.Read(key)
+		tr, err := det.RecordOnce(p, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, tr)
+	}
+	// As in TestTracedRecordAllocs: no collection may empty the pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	merger := func(flush bool) func() {
+		ev, next := core.NewEvidence(), 0
+		return func() {
+			ev.AddRun(runs[next%len(runs)])
+			next++
+			if flush {
+				ev.Flush()
+			}
+		}
+	}
+	plain, flushed := merger(false), merger(true)
+	for i := 0; i < 64; i++ { // every address seen, every window open
+		plain()
+		flushed()
+	}
+	// Sample vectors grow with the run count, so both sides measure the
+	// same span of runs.
+	for _, tc := range []struct {
+		name  string
+		merge func()
+	}{{"AddRun", plain}, {"AddRun+Flush", flushed}} {
+		if got, want := testing.AllocsPerRun(64, tc.merge), 13.0; got != want {
+			t.Errorf("allocs per %s = %v, want %v (evidence merge path changed)", tc.name, got, want)
+		}
+	}
+}

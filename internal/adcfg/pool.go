@@ -1,6 +1,9 @@
 package adcfg
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Buffer pools for the A-DCFG building blocks. Every traced run builds
 // one graph per kernel invocation, and the streaming evidence pipeline
@@ -87,6 +90,25 @@ func recycleHist(h *MemHist) {
 	if h == nil {
 		return
 	}
+	if h.win != nil {
+		putWindow(h.win)
+	}
 	*h = MemHist{Counts: h.Counts[:0], raw: h.Addrs[:0]}
 	histPool.Put(h)
+}
+
+// getWindow takes a histogram from the pool for use as a merge window:
+// its Counts column becomes n zeroed slots, reusing recycled capacity.
+func getWindow(n int) *MemHist {
+	w := histPool.Get().(*MemHist)
+	w.Counts = slices.Grow(w.Counts[:0], n)[:n]
+	clear(w.Counts)
+	return w
+}
+
+// putWindow returns a merge window to the pool. Its Counts capacity
+// serves the next recording's count column or the next window.
+func putWindow(w *MemHist) {
+	w.Counts = w.Counts[:0]
+	histPool.Put(w)
 }

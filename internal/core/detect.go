@@ -542,7 +542,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 		start := ev.Runs
 		var mergeTime time.Duration
 		sink := ev.MergeSink(0, func(merge time.Duration) {
-			mergeTime += merge // serialized by the sink's window lock
+			mergeTime += merge // serialized: only the sink's drainer merges
 			obs.Counter(ctx, "evidence_runs", float64(ev.Runs))
 			d.trackRAM(ctx, report)
 		})
@@ -643,6 +643,8 @@ func (d *Detector) rejectSamples(sx, sy *stats.Sample) (bool, float64, float64, 
 
 // leakageTests compares E_fix with E_rnd (§VII-C).
 func (d *Detector) leakageTests(eFix, eRnd *Evidence, report *Report) error {
+	eFix.Flush()
+	eRnd.Flush()
 	fixSeq := make([]string, len(eFix.Invs))
 	for i, inv := range eFix.Invs {
 		fixSeq[i] = inv.StackID

@@ -70,7 +70,7 @@ func (d *Detector) analyzeClassStat(ctx context.Context, p cuda.Program, cls Inp
 			if ev != nil {
 				ev.AddRun(t)
 			}
-			mergeTime += time.Since(t0)
+			mergeTime += time.Since(t0) // serialized: only the sink's drainer merges
 			trace.Release(t)
 			obs.Counter(ctx, "evidence_runs", float64(engine.Runs(evidence.Fixed)+engine.Runs(evidence.Random)))
 			d.trackRAM(ctx, report)

@@ -23,15 +23,19 @@ const DefaultReorderWindow = 32
 
 // orderedSink re-establishes request order over concurrently delivered
 // traces: consume is invoked for index 0, 1, 2, ... regardless of arrival
-// order. Arrivals ahead of the next expected index park in a bounded
-// pending window; once the window is full, delivering goroutines block
-// until the merge frontier advances (or their context fires). Delivery of
-// the next expected index never blocks, which keeps the window
-// deadlock-free for any runner that dispatches requests in index order.
+// order, one call at a time. Arrivals ahead of the next expected index
+// park in a bounded pending window and return; once the window is full,
+// delivering goroutines block until the merge frontier advances (or
+// their context fires). The deliverer of the next expected index becomes
+// the drainer: it consumes its own trace and then every parked successor,
+// releasing the lock while consume runs so that other deliverers can
+// park meanwhile. Delivery of the next expected index never blocks,
+// which keeps the window deadlock-free for any runner that dispatches
+// requests in index order.
 type orderedSink struct {
 	mu      sync.Mutex
 	wake    chan struct{} // closed and replaced whenever the frontier moves
-	next    int
+	next    int           // index being consumed, or the next to arrive
 	window  int
 	pending map[int]*trace.ProgramTrace
 	consume func(idx int, t *trace.ProgramTrace) error
@@ -76,31 +80,43 @@ func (s *orderedSink) Sink(ctx context.Context, res RunResult) error {
 		}
 	}
 	stall.End()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
+	if err := s.err; err != nil {
+		s.mu.Unlock()
+		return err
 	}
 	if res.Index != s.next {
 		s.pending[res.Index] = res.Trace
 		obs.Counter(ctx, "reorder_pending", float64(len(s.pending)))
+		s.mu.Unlock()
 		return nil
 	}
-	t := res.Trace
+	// Drain. s.next stays at the index being consumed, so every other
+	// deliverer parks, and only this goroutine calls consume.
+	idx, t := res.Index, res.Trace
 	for {
-		if err := s.consume(s.next, t); err != nil {
+		s.mu.Unlock()
+		err := s.consume(idx, t)
+		s.mu.Lock()
+		if err != nil {
 			s.fail(err)
+			s.mu.Unlock()
 			return err
 		}
 		s.next++
+		s.broadcast()
+		if err := s.err; err != nil { // a waiter's context fired meanwhile
+			s.mu.Unlock()
+			return err
+		}
 		nt, ok := s.pending[s.next]
 		if !ok {
 			break
 		}
 		delete(s.pending, s.next)
-		t = nt
+		idx, t = s.next, nt
 	}
 	obs.Counter(ctx, "reorder_pending", float64(len(s.pending)))
-	s.broadcast()
+	s.mu.Unlock()
 	return nil
 }
 

@@ -110,6 +110,118 @@ func TestOrderedSinkContextCancel(t *testing.T) {
 	}
 }
 
+// TestOrderedSinkParksDuringConsume blocks consume(0) and checks that
+// deliveries of indices 1..window all park and return while it runs:
+// the merge never holds up the goroutines that record. Released, the
+// drainer then consumes everything in index order.
+func TestOrderedSinkParksDuringConsume(t *testing.T) {
+	const window = 8
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	var got []int // written by the single drainer only
+	s := newOrderedSink(window, func(i int, _ *trace.ProgramTrace) error {
+		if i == 0 {
+			close(entered)
+			<-release
+		}
+		got = append(got, i)
+		return nil
+	})
+	first := make(chan error, 1)
+	go func() { first <- s.Sink(context.Background(), RunResult{Index: 0, Trace: mkTrace(0)}) }()
+	<-entered
+
+	parkAll(t, s, window, release)
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if s.delivered() != window+1 {
+		t.Fatalf("delivered %d of %d", s.delivered(), window+1)
+	}
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("consumed %v, want 0..%d in order", got, window)
+		}
+	}
+}
+
+// parkAll delivers indices 1..n from one goroutine each while consume(0)
+// is blocked and requires every delivery to return nil within a
+// deadline; on failure it closes release so that nothing stays blocked.
+func parkAll(t *testing.T, s *orderedSink, n int, release chan struct{}) {
+	t.Helper()
+	parked := make(chan error, n)
+	for i := 1; i <= n; i++ {
+		go func(i int) {
+			parked <- s.Sink(context.Background(), RunResult{Index: i, Trace: mkTrace(i)})
+		}(i)
+	}
+	deadline := time.After(5 * time.Second)
+	for i := 1; i <= n; i++ {
+		select {
+		case err := <-parked:
+			if err != nil {
+				close(release)
+				t.Fatal(err)
+			}
+		case <-deadline:
+			close(release)
+			t.Fatalf("%d of %d deliveries still waiting while consume(0) runs", n-i+1, n)
+		}
+	}
+}
+
+// TestOrderedSinkConsumeErrorWakesDeliverers fails consume(0) while the
+// window is full and further deliverers wait on it: the drainer and
+// every waiting deliverer get the error, and so does any later delivery.
+func TestOrderedSinkConsumeErrorWakesDeliverers(t *testing.T) {
+	const window = 2
+	boom := errors.New("merge failed")
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	s := newOrderedSink(window, func(i int, _ *trace.ProgramTrace) error {
+		if i == 0 {
+			close(entered)
+			<-release
+			return boom
+		}
+		return nil
+	})
+	first := make(chan error, 1)
+	go func() { first <- s.Sink(context.Background(), RunResult{Index: 0, Trace: mkTrace(0)}) }()
+	<-entered
+	parkAll(t, s, window, release) // fill the window
+	const waiting = 3
+	waited := make(chan error, waiting)
+	for i := window + 1; i <= window+waiting; i++ {
+		go func(i int) {
+			waited <- s.Sink(context.Background(), RunResult{Index: i, Trace: mkTrace(i)})
+		}(i)
+	}
+	time.Sleep(20 * time.Millisecond) // let them block on the full window
+	close(release)
+	if err := <-first; !errors.Is(err, boom) {
+		t.Fatalf("drainer returned %v, want %v", err, boom)
+	}
+	for i := 0; i < waiting; i++ {
+		select {
+		case err := <-waited:
+			if !errors.Is(err, boom) {
+				t.Fatalf("waiting deliverer returned %v, want %v", err, boom)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a waiting deliverer was not woken by the failure")
+		}
+	}
+	if err := s.Sink(context.Background(), RunResult{Index: 99, Trace: mkTrace(99)}); !errors.Is(err, boom) {
+		t.Fatalf("poisoned sink accepted a delivery (err=%v)", err)
+	}
+	if s.delivered() != 0 {
+		t.Fatalf("delivered %d after consume(0) failed", s.delivered())
+	}
+}
+
 // seqStream is a minimal streaming Runner: record each request in order
 // and deliver its trace straight to the sink.
 type seqStream struct{}

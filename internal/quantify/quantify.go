@@ -114,9 +114,12 @@ func Quantify(det *core.Detector, p cuda.Program, fixed []byte, gen cuda.InputGe
 	return FromEvidence(p.Name(), eFix, eRnd), nil
 }
 
-// FromEvidence estimates leakage from already-merged evidence.
+// FromEvidence estimates leakage from already-merged evidence, flushing
+// it first (core.Evidence.Flush).
 func FromEvidence(program string, eFix, eRnd *core.Evidence) *Report {
 	rep := &Report{Program: program}
+	eFix.Flush()
+	eRnd.Flush()
 
 	fixSeq := make([]string, len(eFix.Invs))
 	for i, inv := range eFix.Invs {

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -46,7 +47,38 @@ func (s *Sample) N() float64 { return s.total }
 func (s *Sample) Len() int { return len(s.values) }
 
 // sorted returns values/weights sorted by value with duplicates merged.
+// A strictly ascending sample, as address histograms build, is returned
+// as stored, so callers must not modify the result; an unweighted one is
+// sorted directly, its merged weights being exact counts.
 func (s *Sample) sorted() ([]float64, []float64) {
+	ascending, unit := true, true
+	for i, v := range s.values {
+		if v != v { // NaN: only the index sort below defines its order
+			ascending, unit = false, false
+			break
+		}
+		ascending = ascending && (i == 0 || s.values[i-1] < v)
+		unit = unit && s.weights[i] == 1
+	}
+	if ascending {
+		return s.values, s.weights
+	}
+	if unit {
+		vs := slices.Clone(s.values)
+		slices.Sort(vs)
+		ws := make([]float64, 0, len(vs))
+		n := 0
+		for _, v := range vs {
+			if n > 0 && vs[n-1] == v {
+				ws[n-1]++
+				continue
+			}
+			vs[n] = v
+			ws = append(ws, 1)
+			n++
+		}
+		return vs[:n], ws
+	}
 	idx := make([]int, len(s.values))
 	for i := range idx {
 		idx[i] = i

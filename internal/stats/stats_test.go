@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -246,5 +247,111 @@ func TestWelchMissesShapeChange(t *testing.T) {
 	}
 	if wres.Reject {
 		t.Skipf("t-test happened to reject (t=%v); the KS advantage still holds", wres.T)
+	}
+}
+
+// refSorted is the index-permutation sort every sample took before
+// presorted and unweighted samples got their own paths.
+func refSorted(s *Sample) ([]float64, []float64) {
+	idx := make([]int, len(s.values))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool { return s.values[idx[i]] < s.values[idx[j]] })
+	var vs, ws []float64
+	for _, i := range idx {
+		v, w := s.values[i], s.weights[i]
+		if len(vs) > 0 && vs[len(vs)-1] == v {
+			ws[len(ws)-1] += w
+			continue
+		}
+		vs = append(vs, v)
+		ws = append(ws, w)
+	}
+	return vs, ws
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSortedMatchesIndexSort checks sorted and the KS statistics built on
+// it against the index-permutation sort, bit for bit, on random,
+// presorted (the address-histogram shape), duplicate-heavy weighted and
+// unweighted samples.
+func TestSortedMatchesIndexSort(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	gen := []struct {
+		name string
+		mk   func(n int) *Sample
+	}{
+		{"random weighted", func(n int) *Sample {
+			s := &Sample{}
+			for i := 0; i < n; i++ {
+				s.Add(r.NormFloat64()*100, r.Float64()*10)
+			}
+			return s
+		}},
+		{"presorted weighted", func(n int) *Sample {
+			s, v := &Sample{}, 0.0
+			for i := 0; i < n; i++ {
+				v += 1 + float64(r.Intn(16))
+				s.Add(v, float64(1+r.Intn(40)))
+			}
+			return s
+		}},
+		{"duplicate-heavy weighted", func(n int) *Sample {
+			s := &Sample{}
+			for i := 0; i < n; i++ {
+				s.Add(float64(r.Intn(5)), 0.1+r.Float64())
+			}
+			return s
+		}},
+		{"unweighted with duplicates", func(n int) *Sample {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(r.Intn(n/3 + 1))
+			}
+			return NewSample(xs)
+		}},
+		{"unweighted presorted", func(n int) *Sample {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i) / 3
+			}
+			return NewSample(xs)
+		}},
+	}
+	for _, g := range gen {
+		name, mk := g.name, g.mk
+		for trial := 0; trial < 50; trial++ {
+			x, y := mk(1+r.Intn(300)), mk(1+r.Intn(300))
+			xv, xw := x.sorted()
+			rv, rw := refSorted(x)
+			if !sameBits(xv, rv) || !sameBits(xw, rw) {
+				t.Fatalf("%s trial %d: sorted differs from the index sort", name, trial)
+			}
+			got, err := KSTestEff(x, y, 0.95, 10, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			yv, yw := refSorted(y)
+			rx, ry := &Sample{values: rv, weights: rw, total: x.total}, &Sample{values: yv, weights: yw, total: y.total}
+			want, err := KSTestEff(rx, ry, 0.95, 10, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.D) != math.Float64bits(want.D) || math.Float64bits(got.P) != math.Float64bits(want.P) {
+				t.Fatalf("%s trial %d: D, P = %v, %v, want %v, %v", name, trial, got.D, got.P, want.D, want.P)
+			}
+		}
 	}
 }
