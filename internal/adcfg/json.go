@@ -107,6 +107,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 					vj.Mems = append(vj.Mems, nil)
 					continue
 				}
+				h.canonical()
 				vj.Mems = append(vj.Mems, &memJSON{Space: h.Space, Store: h.Store, Addrs: addrsJSON{addrs: h.Addrs}, Counts: h.Counts})
 			}
 			nj.Visits = append(nj.Visits, vj)
