@@ -30,7 +30,6 @@ import (
 	"owl/internal/mitigate"
 	"owl/internal/obs"
 	"owl/internal/quantify"
-	"owl/internal/service"
 	"owl/internal/simt"
 )
 
@@ -51,7 +50,6 @@ func run(args []string) error {
 		confidence = fs.Float64("confidence", 0.95, "KS confidence level alpha")
 		seed       = fs.Int64("seed", 1, "deterministic seed")
 		workers    = fs.String("workers", "1", "parallel trace-collection workers: a count, or comma-separated owlworker hosts for distributed recording (results are deterministic either way)")
-		parallel   = fs.Int("parallel", 0, "record traces on an N-worker service pool (same runner as owld; results are deterministic)")
 		welch      = fs.Bool("welch", false, "use Welch's t-test instead of KS (ablation)")
 		noRebase   = fs.Bool("no-rebase", false, "disable address rebasing (ablation)")
 		evidence   = fs.String("evidence", "diff", "evidence channel: diff (paper's set-difference tests), tvla (streaming Welch-t + mutual information), or both")
@@ -171,14 +169,6 @@ func run(args []string) error {
 				s.Round, s.Runs, s.Sites, s.LeakSites, s.MaxAbsT, s.StableChecks, stopped)
 		}
 	}
-	// -workers and -parallel are alternative recording strategies behind
-	// the same mutually exclusive Options fields: exactly one path is set.
-	workersSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
 	workerHosts, workerCount, err := parseWorkersFlag(*workers)
 	if err != nil {
 		return err
@@ -186,14 +176,7 @@ func run(args []string) error {
 	// det is assigned before detection runs; the cluster runner's kernel
 	// hook feeds remotely harvested definitions back into it.
 	var det *core.Detector
-	switch {
-	case *parallel > 0 && workersSet:
-		return fmt.Errorf("-workers and -parallel are mutually exclusive; pick one recording strategy")
-	case *parallel > 0:
-		// The owld service runner: a bounded pool streaming traces into
-		// the merge window, bit-identical to sequential collection.
-		opts.Runner = service.NewPool(*parallel).Runner(nil)
-	case len(workerHosts) > 0:
+	if len(workerHosts) > 0 {
 		if *doMitigate {
 			return fmt.Errorf("-mitigate re-records hardened kernel variants that remote registries don't have; use a local recording strategy")
 		}
@@ -211,7 +194,7 @@ func run(args []string) error {
 				}
 			},
 		})
-	default:
+	} else {
 		opts.Workers = workerCount
 	}
 	det, err = core.NewDetector(opts)

@@ -105,8 +105,8 @@ func (w *Worker) Readiness() Readiness {
 	return r
 }
 
-// Handler serves the worker's HTTP API, versioned under /v1 with
-// unversioned aliases matching the owld convention:
+// Handler serves the worker's HTTP API. Every route lives under /v1/,
+// as on owld:
 //
 //	POST /v1/record        record a batch, stream gob WireResults back
 //	GET  /v1/readyz        Readiness JSON (503 while draining)
@@ -116,16 +116,8 @@ func (w *Worker) Readiness() Readiness {
 //	GET  /v1/metrics/prometheus  worker load in text exposition
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := cutPattern(pattern)
-		if !ok {
-			panic("cluster: route pattern must be \"METHOD /path\": " + pattern)
-		}
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(pattern, h)
-	}
-	handle("POST /record", w.handleRecord)
-	handle("GET /readyz", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/record", w.handleRecord)
+	mux.HandleFunc("GET /v1/readyz", func(rw http.ResponseWriter, r *http.Request) {
 		rd := w.Readiness()
 		status := http.StatusOK
 		if !rd.Ready() {
@@ -133,10 +125,10 @@ func (w *Worker) Handler() http.Handler {
 		}
 		writeJSON(rw, status, rd)
 	})
-	handle("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	handle("GET /cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
 		rep, ok := w.cache.Get(r.PathValue("key"))
 		if !ok {
 			writeError(rw, http.StatusNotFound, fmt.Errorf("no cached report %q", r.PathValue("key")))
@@ -144,7 +136,7 @@ func (w *Worker) Handler() http.Handler {
 		}
 		writeJSON(rw, http.StatusOK, rep)
 	})
-	handle("PUT /cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
 		var rep core.Report
 		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
 			writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding report: %w", err))
@@ -153,7 +145,7 @@ func (w *Worker) Handler() http.Handler {
 		w.cache.Add(r.PathValue("key"), &rep)
 		writeJSON(rw, http.StatusOK, map[string]string{"status": "stored"})
 	})
-	handle("GET /metrics/prometheus", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics/prometheus", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		rd := w.Readiness()
 		pw := obs.NewPromWriter(rw)
@@ -305,15 +297,6 @@ func (w *Worker) handleRecord(rw http.ResponseWriter, r *http.Request) {
 		}(req)
 	}
 	wg.Wait()
-}
-
-func cutPattern(pattern string) (method, path string, ok bool) {
-	for i := 0; i < len(pattern); i++ {
-		if pattern[i] == ' ' {
-			return pattern[:i], pattern[i+1:], true
-		}
-	}
-	return "", "", false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -52,18 +52,17 @@ type Options struct {
 	FilterDuplicates bool
 	// UseWelch substitutes Welch's t-test for the KS test (ablation).
 	UseWelch bool
-	// Workers parallelizes trace collection across goroutines on the
-	// built-in runner. Results are bit-identical to sequential collection:
-	// the per-run inputs and seeds are drawn up front in sequential order,
-	// and evidence merges in run order through a reorder window. 0 or 1
-	// means sequential. Workers selects the built-in runner and is
-	// therefore mutually exclusive with Runner — NewDetector rejects
-	// options that set both.
+	// Workers sizes the detector's own recording Pool when Runner is nil.
+	// Results are bit-identical to sequential collection: the per-run
+	// inputs and seeds are drawn up front in sequential order, and
+	// evidence merges in run order through a reorder window. 0 or 1
+	// means sequential. Mutually exclusive with Runner — NewDetector
+	// rejects options that set both.
 	Workers int
-	// Runner, when non-nil, executes recording in place of the built-in
-	// Workers pool — the hook the owld service uses to slot a shared,
-	// bounded worker pool under the pipeline. Implementations stream each
-	// trace to the pipeline's sink as it completes (see Runner) and must
+	// Runner, when non-nil, records in place of a detector-owned Pool:
+	// the owld service passes the Pool it shares across jobs, and the
+	// cluster passes a fleet runner. Implementations stream each trace
+	// to the pipeline's sink as it completes (see Runner) and must
 	// dispatch requests in index order; determinism is preserved because
 	// inputs and seeds are drawn before dispatch and merges are reordered
 	// by request index. Mutually exclusive with Workers — NewDetector
@@ -224,7 +223,7 @@ func NewDetector(opts Options) (*Detector, error) {
 	}
 	d.runner = opts.Runner
 	if d.runner == nil {
-		d.runner = poolRunner{workers: opts.Workers}
+		d.runner = NewPool(opts.Workers)
 	}
 	return d, nil
 }
@@ -245,27 +244,6 @@ func (d *Detector) notifyProgress() {
 		Classes: int(d.classes.Load()),
 		Runs:    int(d.runs.Load()),
 	})
-}
-
-// poolRunner is the built-in streaming Runner: a per-batch goroutine pool
-// bounded by workers, or a plain sequential loop for workers <= 1. Either
-// way each trace is delivered to the sink the moment its run completes.
-type poolRunner struct{ workers int }
-
-func (r poolRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error {
-	if r.workers <= 1 {
-		for _, req := range reqs {
-			t, err := record(ctx, p, req.Input, req.Seed)
-			if err != nil {
-				return err
-			}
-			if err := sink(ctx, RunResult{Index: req.Index, Trace: t}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return streamParallel(ctx, r.workers, p, reqs, record, sink)
 }
 
 // kernelObserver wraps the tracer to harvest kernel definitions for leak

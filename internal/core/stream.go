@@ -1,5 +1,5 @@
-// Streaming evidence pipeline: the Runner contract delivers traces to a
-// TraceSink as each instrumented execution completes, and an ordered
+// Streaming evidence pipeline: a Runner (Pool, locally) delivers traces
+// to a TraceSink as each instrumented execution completes, and an ordered
 // reorder window re-establishes request order on the consuming side so
 // merge order — and therefore every report — is bit-identical to
 // sequential recording while peak heap stays O(workers + window) traces
@@ -152,18 +152,43 @@ func OrderedSink(window int, consume func(idx int, t *trace.ProgramTrace) error)
 	return newOrderedSink(window, consume).Sink
 }
 
-// streamParallel is the shared fan-out engine of the built-in parallel
-// runner: it dispatches requests in index order onto a bounded worker
-// set and streams each completed trace into sink. In-order dispatch is a
-// hard requirement — ordered sinks rely on it to stay deadlock-free. The
-// first record or sink error cancels the remaining work and is returned
-// after in-flight runs unwind.
-func streamParallel(ctx context.Context, workers int, p cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error {
+// Pool is the local recording runner: a fixed set of slots, each
+// recording one instrumented execution at a time on its own simulated
+// device and context (RecordFn builds a private context per run), so
+// concurrency never shares device state. The slots are shared by every
+// RecordStream running on the pool at once — the owld daemon hands one
+// pool to all its jobs to bound them together. A 1-slot pool records
+// sequentially. Because the pipeline draws inputs and per-run seeds
+// before dispatch and merges streamed traces through a reorder window,
+// pool-backed recording is bit-identical at every slot count.
+type Pool struct{ sem chan struct{} }
+
+// NewPool sizes a pool; workers < 1 means 1.
+func NewPool(workers int) *Pool {
+	return &Pool{sem: make(chan struct{}, max(workers, 1))}
+}
+
+// Workers returns the pool's slot count.
+func (p *Pool) Workers() int { return cap(p.sem) }
+
+// Active returns how many slots are recording right now.
+func (p *Pool) Active() int { return len(p.sem) }
+
+// Idle returns how many slots are free — the backpressure signal owld
+// surfaces through /readyz.
+func (p *Pool) Idle() int { return cap(p.sem) - len(p.sem) }
+
+// RecordStream implements Runner: requests are dispatched in index order
+// as slots free up (in-order dispatch keeps the pipeline's reorder
+// window deadlock-free), and each completed trace streams straight into
+// sink. The first record or sink error cancels the rest of this stream —
+// never another stream sharing the pool — and is returned after its
+// in-flight runs unwind.
+func (p *Pool) RecordStream(ctx context.Context, prog cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	sem := make(chan struct{}, workers)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -180,15 +205,15 @@ func streamParallel(ctx context.Context, workers int, p cuda.Program, reqs []Run
 dispatch:
 	for _, req := range reqs {
 		select {
-		case sem <- struct{}{}:
+		case p.sem <- struct{}{}:
 		case <-ctx.Done():
 			break dispatch
 		}
 		wg.Add(1)
 		go func(req RunRequest) {
 			defer wg.Done()
-			defer func() { <-sem }()
-			t, err := record(ctx, p, req.Input, req.Seed)
+			defer func() { <-p.sem }()
+			t, err := record(ctx, prog, req.Input, req.Seed)
 			if err == nil {
 				err = sink(ctx, RunResult{Index: req.Index, Trace: t})
 			}

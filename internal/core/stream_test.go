@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,8 +280,8 @@ func TestNewDetectorRejectsWorkersAndRunner(t *testing.T) {
 	}
 }
 
-// TestStreamParallelFirstError checks the fan-out engine reports the
-// first failure and stops dispatching.
+// TestStreamParallelFirstError checks a pool stream reports the first
+// failure and stops dispatching.
 func TestStreamParallelFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var recorded int
@@ -299,7 +300,7 @@ func TestStreamParallelFirstError(t *testing.T) {
 		reqs[i] = RunRequest{Index: i, Seed: int64(i)}
 	}
 	sink := func(ctx context.Context, res RunResult) error { return nil }
-	err := streamParallel(context.Background(), 2, nil, reqs, record, sink)
+	err := NewPool(2).RecordStream(context.Background(), nil, reqs, record, sink)
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the record error", err)
 	}
@@ -307,5 +308,150 @@ func TestStreamParallelFirstError(t *testing.T) {
 	defer mu.Unlock()
 	if recorded == len(reqs) {
 		t.Error("error did not stop dispatch")
+	}
+}
+
+// trackPeak raises peak to n if n is larger.
+func trackPeak(peak *atomic.Int64, n int64) {
+	for {
+		old := peak.Load()
+		if n <= old || peak.CompareAndSwap(old, n) {
+			return
+		}
+	}
+}
+
+// TestPoolOrderAndBound checks every trace streams to the sink exactly
+// once while concurrency stays within the pool bound, and that a
+// reorder-window sink restores request order.
+func TestPoolOrderAndBound(t *testing.T) {
+	pool := NewPool(3)
+	reqs := make([]RunRequest, 16)
+	for i := range reqs {
+		reqs[i] = RunRequest{Index: i, Input: []byte{byte(i)}, Seed: int64(i + 1)}
+	}
+	var inFlight, peak atomic.Int64
+	record := func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
+		trackPeak(&peak, inFlight.Add(1))
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		return &trace.ProgramTrace{Program: string(input)}, nil
+	}
+	var (
+		mu     sync.Mutex
+		order  []int
+		traces []*trace.ProgramTrace
+	)
+	sink := OrderedSink(len(reqs), func(i int, tr *trace.ProgramTrace) error {
+		mu.Lock()
+		defer mu.Unlock()
+		order = append(order, i)
+		traces = append(traces, tr)
+		return nil
+	})
+	if err := pool.RecordStream(context.Background(), nil, reqs, record, sink); err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != len(reqs) {
+		t.Fatalf("%d traces for %d requests", len(traces), len(reqs))
+	}
+	for i, tr := range traces {
+		if order[i] != i {
+			t.Fatalf("sink consumed index %d at position %d", order[i], i)
+		}
+		if tr == nil || tr.Program != string([]byte{byte(i)}) {
+			t.Fatalf("trace %d missing or out of order", i)
+		}
+	}
+	if p := peak.Load(); p > 3 {
+		t.Errorf("peak concurrency %d exceeds pool bound 3", p)
+	}
+}
+
+// TestPoolSharedAcrossStreams runs two streams at once on one 2-slot
+// pool, as owld runs concurrent jobs: the slots bound both streams
+// together, a record error fails only its own stream, and every slot is
+// free again afterwards.
+func TestPoolSharedAcrossStreams(t *testing.T) {
+	pool := NewPool(2)
+	boom := errors.New("boom")
+	var inFlight, peak atomic.Int64
+	// The healthy stream's first run holds its slot until the failing
+	// stream has failed, so the failure lands while the healthy stream is
+	// still in flight.
+	failed := make(chan struct{})
+	var failOnce sync.Once
+	failing := func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
+		trackPeak(&peak, inFlight.Add(1))
+		defer inFlight.Add(-1)
+		time.Sleep(time.Millisecond)
+		if seed == 1 {
+			failOnce.Do(func() { close(failed) })
+			return nil, boom
+		}
+		return mkTrace(int(seed)), nil
+	}
+	healthy := func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
+		trackPeak(&peak, inFlight.Add(1))
+		defer inFlight.Add(-1)
+		if seed == 0 {
+			<-failed
+		}
+		time.Sleep(time.Millisecond)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return mkTrace(int(seed)), nil
+	}
+	reqs := func(n int) []RunRequest {
+		out := make([]RunRequest, n)
+		for i := range out {
+			out[i] = RunRequest{Index: i, Seed: int64(i)}
+		}
+		return out
+	}
+	var delivered [16]atomic.Int64
+	countSink := func(ctx context.Context, res RunResult) error {
+		delivered[res.Index].Add(1)
+		return nil
+	}
+	noSink := func(ctx context.Context, res RunResult) error { return nil }
+
+	errs := make(chan error, 2)
+	go func() { errs <- pool.RecordStream(context.Background(), nil, reqs(16), healthy, countSink) }()
+	go func() { errs <- pool.RecordStream(context.Background(), nil, reqs(8), failing, noSink) }()
+	var got []error
+	for range 2 {
+		select {
+		case err := <-errs:
+			got = append(got, err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("streams sharing the pool did not finish")
+		}
+	}
+	var nilErrs, boomErrs int
+	for _, err := range got {
+		switch {
+		case err == nil:
+			nilErrs++
+		case errors.Is(err, boom):
+			boomErrs++
+		default:
+			t.Errorf("unexpected stream error %v", err)
+		}
+	}
+	if nilErrs != 1 || boomErrs != 1 {
+		t.Fatalf("stream results %v, want one nil and one %v", got, boom)
+	}
+	for i := range delivered {
+		if n := delivered[i].Load(); n != 1 {
+			t.Errorf("healthy stream delivered index %d %d times, want once", i, n)
+		}
+	}
+	if p := peak.Load(); p > 2 {
+		t.Errorf("peak in-flight %d across both streams exceeds the 2 slots", p)
+	}
+	if a, i := pool.Active(), pool.Idle(); a != 0 || i != 2 {
+		t.Errorf("after both streams: Active %d, Idle %d, want 0 and 2", a, i)
 	}
 }

@@ -1,11 +1,10 @@
 // Package microarch models the per-instruction microarchitectural cost
 // observables of the cost channel: shared-memory bank-conflict
 // serialization (the 32-bank, broadcast-aware model behind shared-memory
-// timing attacks), global-memory coalescing transaction counts (absorbed
-// from the former internal/coalesce package — Jiang et al.'s HPCA'16 AES
-// key-recovery observable), and a Hamming-weight power proxy over written
-// register values (the simulation-driven leakage-hunting signal of
-// aLEAKator/ROSITA). A-DCFG differential detection is structurally blind
+// timing attacks), global-memory coalescing transaction counts (Jiang et
+// al.'s HPCA'16 AES key-recovery observable), and a Hamming-weight power
+// proxy over written register values (the simulation-driven
+// leakage-hunting signal of aLEAKator/ROSITA). A-DCFG differential detection is structurally blind
 // to these: a kernel can touch identical addresses in identical order and
 // still take secret-dependent time (or draw secret-dependent power)
 // through access *shape*. The Collector aggregates all three per

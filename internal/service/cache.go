@@ -14,8 +14,9 @@ import (
 // of every option that influences the outcome — including the evidence
 // configuration, since mode, thresholds, and the early-stop policy all
 // change the report. Workers and Runner are excluded on purpose —
-// parallel and sequential recording produce identical reports — so a
-// -parallel resubmission of a cached sequential job is still a hit.
+// recording on any number of slots, locally or on a fleet, produces
+// identical reports — so a job resubmitted under another recording
+// strategy is still a hit.
 func CacheKey(program string, opts core.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%d|%d|%g|%d|%v|%v|%v|%+v|%+v",

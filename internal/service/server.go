@@ -2,22 +2,27 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 
 	"owl/internal/htmlreport"
 	"owl/internal/obs"
 )
 
-// NewServer wires the manager into the daemon's HTTP API. Routes are
-// versioned under /v1/ only; the pre-versioning bare paths (removed after
-// their one-release deprecation window) answer 404 with a Link header
-// naming the /v1 successor so stale clients get a machine-readable
-// forwarding address:
+// maxJobRequestBytes bounds a POST /v1/jobs body. A JobRequest is a
+// handful of scalars, so 1 MiB is ample.
+const maxJobRequestBytes = 1 << 20
+
+// ErrRequestTooLarge rejects a job submission whose body exceeds
+// maxJobRequestBytes; the server answers it with 413.
+var ErrRequestTooLarge = errors.New("service: job request body exceeds 1 MiB")
+
+// NewServer wires the manager into the daemon's HTTP API. Every route
+// lives under /v1/; a bare path gets a plain 404:
 //
-//	POST   /v1/jobs                 submit a detection (JobRequest JSON)
+//	POST   /v1/jobs                 submit a detection (JobRequest JSON, at most 1 MiB)
 //	GET    /v1/jobs                 list jobs
 //	GET    /v1/jobs/{id}            job status and progress
 //	DELETE /v1/jobs/{id}            cancel a job
@@ -35,27 +40,14 @@ import (
 func NewServer(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
-	// handle registers one route at its canonical /v1 path and points the
-	// retired unversioned spelling at the successor-version responder.
-	// pattern is "METHOD /path".
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("service: route pattern must be \"METHOD /path\": " + pattern)
-		}
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			// RFC 8594-style sunset: the alias is gone, the Link header
-			// carries the versioned replacement.
-			w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-			httpError(w, http.StatusNotFound,
-				fmt.Errorf("unversioned path %s has been removed; use /v1%s", r.URL.Path, r.URL.Path))
-		})
-	}
-
-	handle("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes)).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				httpError(w, http.StatusRequestEntityTooLarge, ErrRequestTooLarge)
+				return
+			}
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
@@ -74,7 +66,7 @@ func NewServer(m *Manager) http.Handler {
 		writeJSON(w, http.StatusAccepted, job.View())
 	})
 
-	handle("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		jobs := m.Jobs()
 		views := make([]JobView, len(jobs))
 		for i, j := range jobs {
@@ -83,7 +75,7 @@ func NewServer(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, views)
 	})
 
-	handle("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := m.Get(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
@@ -92,7 +84,7 @@ func NewServer(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, job.View())
 	})
 
-	handle("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := m.Cancel(r.PathValue("id")); err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
@@ -115,7 +107,7 @@ func NewServer(m *Manager) http.Handler {
 		return job, true
 	}
 
-	handle("GET /jobs/{id}/report", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}/report", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := reportOf(w, r)
 		if !ok {
 			return
@@ -123,7 +115,7 @@ func NewServer(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, job.Report())
 	})
 
-	handle("GET /jobs/{id}/report.html", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}/report.html", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := reportOf(w, r)
 		if !ok {
 			return
@@ -134,7 +126,7 @@ func NewServer(m *Manager) http.Handler {
 		}
 	})
 
-	handle("GET /jobs/{id}/mitigation", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}/mitigation", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := m.Get(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
@@ -153,7 +145,7 @@ func NewServer(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, job.Mitigation())
 	})
 
-	handle("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := m.Get(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
@@ -201,7 +193,7 @@ func NewServer(m *Manager) http.Handler {
 		}
 	})
 
-	handle("GET /jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := m.Get(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
@@ -225,15 +217,15 @@ func NewServer(m *Manager) http.Handler {
 		}
 	})
 
-	handle("GET /programs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/programs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, m.Programs())
 	})
 
-	handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
-	handle("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		// The body carries queue depth and slot occupancy so cluster
 		// coordinators can size batches off the same probe a load
 		// balancer uses; the status code keeps its original semantics.
@@ -245,12 +237,12 @@ func NewServer(m *Manager) http.Handler {
 		writeJSON(w, status, rd)
 	})
 
-	handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		fmt.Fprintf(w, "{\"owld\": %s}\n", m.Metrics().Map().String())
 	})
 
-	handle("GET /metrics/prometheus", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics/prometheus", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := WritePrometheus(w, m.Metrics(), m.Recorder()); err != nil {
 			httpError(w, http.StatusInternalServerError, err)

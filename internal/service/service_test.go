@@ -205,9 +205,9 @@ func TestJobCancellation(t *testing.T) {
 	}
 }
 
-// TestUnversionedAliases checks the retired unversioned routes answer
-// 404 with a Link header naming the /v1 successor, that the /v1 routes
-// still serve, and that the streaming metrics appear in the snapshot.
+// TestUnversionedAliases checks a bare path is not routed (a plain 404,
+// no forwarding header), that the /v1 routes serve, and that the
+// streaming metrics appear in the snapshot.
 func TestUnversionedAliases(t *testing.T) {
 	_, srv := newTestServer(t, Config{Pool: NewPool(2)})
 	for _, path := range []string{"/healthz", "/jobs", "/programs", "/metrics"} {
@@ -217,11 +217,10 @@ func TestUnversionedAliases(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s (retired alias): status %d, want %d", path, resp.StatusCode, http.StatusNotFound)
+			t.Errorf("GET %s (bare path): status %d, want %d", path, resp.StatusCode, http.StatusNotFound)
 		}
-		want := "</v1" + path + `>; rel="successor-version"`
-		if link := resp.Header.Get("Link"); link != want {
-			t.Errorf("GET %s: Link header %q, want %q", path, link, want)
+		if link := resp.Header.Get("Link"); link != "" {
+			t.Errorf("GET %s: unexpected Link header %q", path, link)
 		}
 		if code := getJSON(t, srv.URL+"/v1"+path, nil); code != http.StatusOK {
 			t.Errorf("GET /v1%s: status %d", path, code)
@@ -242,6 +241,32 @@ func TestUnversionedAliases(t *testing.T) {
 	peak, ok := metrics["job_peak_alloc_bytes"].(map[string]any)
 	if !ok || peak["max"].(float64) <= 0 {
 		t.Errorf("job_peak_alloc_bytes not populated: %v", metrics["job_peak_alloc_bytes"])
+	}
+}
+
+// TestJobBodyTooLarge checks POST /v1/jobs reads at most 1 MiB: a 2 MiB
+// body is refused with 413 and ErrRequestTooLarge, and an ordinary
+// submission is still accepted.
+func TestJobBodyTooLarge(t *testing.T) {
+	_, srv := newTestServer(t, Config{Pool: NewPool(1)})
+	body := `{"program":"` + strings.Repeat("a", 2<<20) + `"}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	var e map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if e["error"] != ErrRequestTooLarge.Error() {
+		t.Errorf("2 MiB body: error %q, want %q", e["error"], ErrRequestTooLarge)
+	}
+	if _, code := postJob(t, srv, JobRequest{Program: "dummy", FixedRuns: 4, RandomRuns: 4}); code != http.StatusAccepted {
+		t.Errorf("ordinary submission: status %d, want %d", code, http.StatusAccepted)
 	}
 }
 

@@ -66,10 +66,11 @@ const (
 // Runner streams instrumented executions for the pipeline: each recorded
 // trace is delivered to a TraceSink the moment its run completes, and the
 // pipeline merges it through a reorder window keyed by request index so
-// reports stay bit-identical to sequential recording. Options.Runner lets
-// callers supply a shared worker pool (see internal/service for the
-// daemon's bounded pool); the default runner honors Options.Workers. The
-// two fields are mutually exclusive — NewDetector rejects setting both.
+// reports stay bit-identical to sequential recording. The detector
+// records on its own Options.Workers-slot pool unless Options.Runner
+// supplies one: owld passes the pool its jobs share, and the cluster a
+// fleet runner. The two fields are mutually exclusive — NewDetector
+// rejects setting both.
 type Runner = core.Runner
 
 // RunRequest is one recording request handed to a Runner.
